@@ -457,6 +457,20 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
+    /// Sets the independent per-message loss probability for every send
+    /// from now on — the runtime counterpart of [`NetworkConfig::loss`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `p` is a probability in `[0, 1]`.
+    pub fn set_loss(&mut self, p: f64) {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "loss must be a probability in [0, 1], got {p}"
+        );
+        self.core.loss = p;
+    }
+
     /// Runs `f` with the protocol and a context at the current time; used to
     /// inject initial events or inspect state mid-run.
     pub fn with_ctx<R>(
@@ -851,6 +865,27 @@ mod tests {
         let lost = sim.metrics().losses() as usize;
         assert_eq!(delivered + lost, 1000);
         assert!((350..=650).contains(&lost), "lost {lost} of 1000 at p=0.5");
+    }
+
+    #[test]
+    fn set_loss_takes_effect_between_runs() {
+        let mut sim = Simulation::new(Recorder::default(), ideal(2), 5);
+        sim.set_loss(1.0);
+        sim.with_ctx(|_, ctx| ctx.send(NodeId(0), NodeId(1), Note("x", 1)));
+        sim.run_until_idle();
+        assert_eq!(sim.metrics().losses(), 1);
+        sim.set_loss(0.0);
+        sim.with_ctx(|_, ctx| ctx.send(NodeId(0), NodeId(1), Note("x", 1)));
+        sim.run_until_idle();
+        assert_eq!(sim.protocol().log.len(), 1);
+        assert_eq!(sim.metrics().losses(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability")]
+    fn set_loss_rejects_non_probabilities() {
+        let mut sim = Simulation::new(Recorder::default(), ideal(2), 5);
+        sim.set_loss(f64::NAN);
     }
 
     #[test]

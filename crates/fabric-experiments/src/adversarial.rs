@@ -19,8 +19,8 @@
 //! | flood amplification  | view agreement + exactly one leader      | discovery bytes          |
 //! | eclipse              | honest views clean; one honest seed wins | time-to-escape (s)       |
 //!
-//! Everything is deterministic: the harness owns every RNG stream (see
-//! the [`fabric_gossip::scenario`] determinism contract), so the same
+//! Everything is deterministic: the harness is one seeded simulation (see
+//! the [`fabric_gossip::scenario`] determinism section), so the same
 //! [`AdversarialConfig`] always yields a byte-identical report.
 
 use desim::Duration;
@@ -30,6 +30,8 @@ use fabric_gossip::scenario::{
     StaleReplayer,
 };
 use fabric_types::ids::{ChannelId, PeerId};
+
+use crate::report::escape;
 
 /// Configuration of one adversarial sweep.
 #[derive(Debug, Clone)]
@@ -206,23 +208,11 @@ impl AdversarialReport {
     }
 }
 
-/// Minimal JSON string escaping for diagnostic details.
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Runs the whole attacker catalog under `cfg` and collects the report.
 pub fn run_adversarial(cfg: &AdversarialConfig) -> AdversarialReport {
     AdversarialReport {
         mode: cfg.mode,
-        seed: DiscoveryHarness::ATTACK_SEED,
+        seed: DiscoveryHarness::SEED,
         outcomes: vec![
             stale_replay(cfg),
             obituary_forgery(cfg),
@@ -499,16 +489,10 @@ fn eclipse(cfg: &AdversarialConfig) -> AttackOutcome {
             net.set_byzantine(attacker, Box::new(Eclipser::new(victim)));
         }
         net.join_via(0, victim, &[attacker, PeerId(0)]);
-        for elapsed in 0..=LIMIT {
+        net.secs_until(LIMIT, |net| {
             let view = net.view_of(victim, 0);
-            if honest.iter().any(|h| view.contains(h)) {
-                return Some(elapsed);
-            }
-            if elapsed < LIMIT {
-                net.run_for(Duration::from_secs(1));
-            }
-        }
-        None
+            honest.iter().any(|h| view.contains(h))
+        })
     };
     let baseline = escape(false);
     let attacked = escape(true);
@@ -607,7 +591,7 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json(), "same config, same report");
         let json = a.to_json();
         assert!(json.contains("\"wire_format\": \"full\""));
-        assert!(json.contains(&format!("\"seed\": {}", DiscoveryHarness::ATTACK_SEED)));
+        assert!(json.contains(&format!("\"seed\": {}", DiscoveryHarness::SEED)));
         assert!(json.contains("\"all_held\": true"));
         for name in [
             "stale-replay",

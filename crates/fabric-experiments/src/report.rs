@@ -1,6 +1,7 @@
 //! Paper-style rendering of experiment results: the series behind each
 //! figure and the rows of Table II, as plain text for bench output and
-//! EXPERIMENTS.md.
+//! EXPERIMENTS.md, plus the string escaping the JSON report writers
+//! share.
 
 use desim::Duration;
 use gossip_metrics::cdf::{ProbabilityPlot, BLOCK_LEVEL_TICKS, PEER_LEVEL_TICKS};
@@ -8,6 +9,19 @@ use gossip_metrics::table::render_table;
 
 use crate::conflicts::Table2Row;
 use crate::dissemination::DisseminationResult;
+
+/// Minimal JSON string escaping for the diagnostic details of the
+/// `ADVERSARIAL_*` and `TOLERANCE_*` reports.
+pub(crate) fn escape(s: &str) -> String {
+    s.chars()
+        .flat_map(|c| match c {
+            '"' => vec!['\\', '"'],
+            '\\' => vec!['\\', '\\'],
+            '\n' => vec!['\\', 'n'],
+            c => vec![c],
+        })
+        .collect()
+}
 
 /// Renders a peer-level latency figure (Figs. 4/7/12): the three CDF
 /// series at the paper's y ticks.

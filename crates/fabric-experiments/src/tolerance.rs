@@ -15,7 +15,7 @@
 //! | withholder          | dissemination | gap-free catch-up within bound      |
 //! | equivocator         | dissemination | completeness 1.0, payloads intact   |
 //!
-//! Everything is deterministic (the harness determinism contract), so the
+//! Everything is deterministic (one seeded simulation per run), so the
 //! frontier is a *measurement*, not a flaky sample: CI pins the measured
 //! `f*` per family and fails when a change shrinks it.
 
@@ -30,6 +30,7 @@ use fabric_types::crypto::Hash256;
 use fabric_types::ids::{ChannelId, PeerId};
 
 use crate::adversarial::AdversarialConfig;
+use crate::report::escape;
 
 /// Configuration of one tolerance sweep.
 #[derive(Debug, Clone)]
@@ -192,18 +193,6 @@ impl ToleranceReport {
     }
 }
 
-/// Minimal JSON string escaping for diagnostic details.
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Runs the whole family catalog at every configured deployment size.
 pub fn run_tolerance(cfg: &ToleranceConfig) -> ToleranceReport {
     let mut frontiers = Vec::new();
@@ -215,7 +204,7 @@ pub fn run_tolerance(cfg: &ToleranceConfig) -> ToleranceReport {
     }
     ToleranceReport {
         mode: cfg.mode,
-        seed: DiscoveryHarness::ATTACK_SEED,
+        seed: DiscoveryHarness::SEED,
         frontiers,
     }
 }
@@ -344,16 +333,9 @@ fn adaptive_leader_hunt(cfg: &ToleranceConfig, n: u32) -> FamilyFrontier {
                 net.set_byzantine(id, Box::new(Adaptively(LeaderHunter::new(2))));
             }
             net.run_for(Duration::from_secs(40));
-            let mut recovered = None;
-            for elapsed in 0..=RECOVERY_LIMIT {
-                if net.views_converged(0) && net.leaders(0).len() == 1 {
-                    recovered = Some(elapsed);
-                    break;
-                }
-                if elapsed < RECOVERY_LIMIT {
-                    net.run_for(Duration::from_secs(1));
-                }
-            }
+            let recovered = net.secs_until(RECOVERY_LIMIT, |net| {
+                net.views_converged(0) && net.leaders(0).len() == 1
+            });
             let leaders = net.leaders(0);
             TolerancePoint {
                 f,
@@ -402,18 +384,10 @@ fn catchup_run(
     }
     net.run_for(Duration::from_secs(10));
     net.join(0, joiner);
-    let mut caught = None;
-    for elapsed in 0..=LIMIT {
-        if net.gossip(joiner.index()).height_on(ChannelId(0)) > height
+    let caught = net.secs_until(LIMIT, |net| {
+        net.gossip(joiner.index()).height_on(ChannelId(0)) > height
             && net.check(&Predicate::GapFreeCatchup { channel: 0 }).is_ok()
-        {
-            caught = Some(elapsed);
-            break;
-        }
-        if elapsed < LIMIT {
-            net.run_for(Duration::from_secs(1));
-        }
-    }
+    });
     (net, caught)
 }
 
@@ -493,7 +467,7 @@ fn equivocator(cfg: &ToleranceConfig, n: u32) -> FamilyFrontier {
                         all_intact &= block.data_intact();
                     }
                 }
-                all_intact &= net.effects(i).delivered.iter().all(|b| b.data_intact());
+                all_intact &= net.delivered(i).iter().all(|b| b.data_intact());
             }
             TolerancePoint {
                 f,

@@ -179,7 +179,9 @@ impl LeadershipEngine {
         my_height: u64,
     ) -> bool {
         let min_lag = core.cfg.snapshot.min_lag;
-        let trigger = move |cp_height: u64| cp_height + 1 >= my_height + min_lag;
+        // `cp_height` is whatever a peer advertised: saturate, never wrap.
+        let trigger =
+            move |cp_height: u64| cp_height.saturating_add(1) >= my_height.saturating_add(min_lag);
         let best_cp = self
             .peer_checkpoints
             .values()
@@ -658,6 +660,25 @@ mod tests {
         );
         assert_eq!(c.stats.snapshot_requests, 1);
         assert_eq!(c.stats.recovery_requests, 0);
+    }
+
+    #[test]
+    fn hostile_max_checkpoint_height_neither_panics_nor_wraps() {
+        // Regression: the lag trigger added 1 to an advertised checkpoint
+        // height, which overflowed at u64::MAX (a panic in debug builds,
+        // a silent wrap to "not lagging" in release).
+        let mut c = core(1);
+        c.cfg = GossipConfig::enhanced_f4().with_snapshots(8);
+        let mut e = LeadershipEngine::new(false);
+        let mut fx = MockEffects::new(1);
+        let hostile = Checkpoint {
+            height: u64::MAX,
+            state_hash: fabric_types::crypto::Hash256::ZERO,
+        };
+        e.on_state_info(PeerId(2), 17, Some(hostile));
+        e.on_recovery_round(&mut c, &mut fx);
+        // The claim reads as far ahead, not wrapped around to behind.
+        assert_eq!(c.stats.snapshot_requests, 1);
     }
 
     #[test]

@@ -2,21 +2,22 @@
 //! op-sequence DSL over a multi-peer discovery network, with Byzantine
 //! fault injection.
 //!
-//! The substrate is [`DiscoveryHarness`] (moved here from
-//! [`crate::testing`], which still re-exports it): a whole network of
-//! [`GossipPeer`]s under a scripted clock — the harness owns every peer's
-//! timer queue, fires due timers in deterministic `(time, arming)` order,
-//! delivers messages with zero latency, and injects faults (loss,
-//! blocked links, partitions, crashes).
+//! The substrate is [`DiscoveryHarness`]: a whole network of
+//! [`GossipPeer`]s running on a [`desim::Simulation`] over
+//! [`NetworkConfig::ideal`] (zero latency, no bandwidth limit) — the same
+//! engine the paper presets run on. The peers are the simulated
+//! protocol; the harness only owns the simulation. Faults are desim's
+//! own: per-message loss, cut links and partitions in
+//! [`desim::NetState`], and crashes as nodes marked down.
 //!
 //! On top of it sit three layers:
 //!
 //! * **The op DSL** — [`ScenarioOp`]: `Join`, `Leave`, `Crash` (silent
 //!   stop, no leave), `Partition`, `Heal`, `DropLink`, `SetLoss`, `Wait`
 //!   and `Assert(predicate)`, applied by
-//!   [`DiscoveryHarness::run_script`]. Scripts are plain data: tests
-//!   write them literally, property tests generate them with
-//!   [`random_scenario`] and shrink them on failure.
+//!   [`DiscoveryHarness::run_script`] between simulation windows. Scripts
+//!   are plain data: tests write them literally, property tests generate
+//!   them with [`random_scenario`] and shrink them on failure.
 //! * **Reusable predicates** — [`Predicate`]: view agreement,
 //!   exactly-one-leader, no-resurrection-below-obituary, gap-free
 //!   catch-up and convergence-within-bound, checked by
@@ -51,85 +52,46 @@
 //!     All are classified through the wiretap hooks on
 //!     [`GossipMsg::carries_blocks`] / [`GossipMsg::map_blocks`].
 //!
-//! ## Determinism contract
+//! ## Determinism
 //!
-//! Every run of the same scenario over the same harness configuration is
-//! bit-identical. The harness owns four RNG streams, all fixed-seeded:
-//! per-peer protocol RNGs (seeds `9000 + i`), the attacker RNG (seed
-//! [`DiscoveryHarness::ATTACK_SEED`]), and the loss RNG. The loss stream
-//! is **epoch-reseeded**: every [`DiscoveryHarness::set_loss`] (and
-//! [`DiscoveryHarness::heal`], which routes through it) re-seeds the
-//! loss RNG as a pure function of the base seed and the count of
-//! loss-rate changes so far — so the drop decisions after the *k*-th
-//! change never depend on how many messages earlier phases happened to
-//! route, and a scenario prefix can be edited without scrambling the
-//! loss pattern of everything after the next `SetLoss`/`Heal`.
+//! There is one contract, the engine's: events run in `(time, seq)`
+//! order, and every random draw — protocol, attacker and loss — comes
+//! from the simulation's single [`desim::RngMode::Unified`] stream seeded
+//! with [`DiscoveryHarness::SEED`]. The same scenario over the same
+//! harness configuration therefore replays bit-identically, and
+//! [`DiscoveryHarness::events_processed`] counts its work.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
-use desim::{Duration, Message as _, Time};
+use desim::{Ctx, Duration, NetworkConfig, NodeId, Simulation, Time};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use fabric_types::block::BlockRef;
 use fabric_types::ids::{ChannelId, ClientId, PeerId, TxId};
 use fabric_types::rwset::RwSet;
+use fabric_types::snapshot::SnapshotRef;
 use fabric_types::transaction::Transaction;
 
 use crate::config::GossipConfig;
-use crate::messages::{GossipMsg, GossipTimer, PeerAlive};
+use crate::effects::Effects;
+use crate::messages::{ChannelMsg, GossipMsg, GossipTimer, PeerAlive};
 use crate::peer::GossipPeer;
-use crate::testing::MockEffects;
-
-/// One armed timer of the harness, ordered by `(at, seq)` so same-instant
-/// timers fire in arming order (deterministic, like the simulator).
-#[derive(Debug)]
-struct HarnessTimer {
-    at: Time,
-    seq: u64,
-    peer: usize,
-    /// Timer epoch of the owning peer at arming time; a crash bumps the
-    /// peer's epoch so timers armed by a previous life never fire into
-    /// the rebooted instance.
-    epoch: u64,
-    channel: ChannelId,
-    timer: GossipTimer,
-}
-
-impl PartialEq for HarnessTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HarnessTimer {}
-impl PartialOrd for HarnessTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HarnessTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at
-            .cmp(&other.at)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
 
 /// What a [`Byzantine`] behavior sees of the world when it acts: the
-/// compromised peer's identity, the scripted clock, a deterministic
-/// attacker-private RNG, and the ground-truth membership (an omniscient
+/// compromised peer's identity, the simulation clock, the simulation's
+/// deterministic RNG, and the ground-truth membership (an omniscient
 /// attacker — the strongest adversary the guarantees must survive).
 #[derive(Debug)]
 pub struct AttackCtx<'a> {
     /// The compromised peer.
     pub self_id: PeerId,
-    /// The scripted clock's current instant.
+    /// The simulation clock's current instant.
     pub now: Time,
-    /// Attacker-private RNG, deterministic per harness.
+    /// The simulation's RNG (shared with the protocol, deterministic).
     pub rng: &'a mut StdRng,
     /// Ground-truth membership per channel.
     pub members: &'a [Vec<PeerId>],
@@ -1137,7 +1099,7 @@ pub enum ScenarioOp {
         /// Loss in 1/1000 units (250 = 25 %).
         loss_milli: u32,
     },
-    /// Let scripted time pass.
+    /// Let simulated time pass.
     Wait {
         /// Seconds to run.
         secs: u64,
@@ -1174,11 +1136,11 @@ pub enum Predicate {
         channel: usize,
     },
     /// Views converge to the ground truth within the bound, advancing
-    /// scripted time as needed.
+    /// simulated time as needed.
     ConvergenceWithin {
         /// Channel index.
         channel: usize,
-        /// The bound, in scripted seconds.
+        /// The bound, in simulated seconds.
         secs: u64,
     },
 }
@@ -1366,8 +1328,187 @@ fn pick_two(members: &[PeerId], rng: &mut StdRng) -> Option<(PeerId, PeerId)> {
     Some((members[a], members[b]))
 }
 
-/// A scripted multi-peer network for discovery-protocol tests and
-/// adversarial scenarios.
+/// A timer of one peer's channel instance, stamped with the peer's life:
+/// a crash or reboot bumps the life, so timers armed by an earlier life
+/// never fire into the current one.
+#[derive(Debug)]
+struct Tick {
+    channel: ChannelId,
+    timer: GossipTimer,
+    life: u64,
+}
+
+/// The [`desim::Protocol`] behind the harness: every peer, the attached
+/// Byzantine behaviors, the ground truth and what the peers recorded.
+#[derive(Debug)]
+struct World {
+    peers: Vec<GossipPeer>,
+    /// Per-peer count of crash and reboot transitions: odd while crashed.
+    lives: Vec<u64>,
+    delivered: Vec<Vec<BlockRef>>,
+    installed: Vec<Vec<SnapshotRef>>,
+    /// Ground-truth membership per channel (what the script did), for
+    /// convergence assertions and the attackers' omniscience.
+    members: Vec<Vec<PeerId>>,
+    /// Attached Byzantine behaviors, by peer index.
+    byzantine: BTreeMap<usize, Box<dyn Byzantine>>,
+    /// Highest injected block number per channel.
+    heads: Vec<u64>,
+    /// Highest obituary incarnation each peer ever recorded, keyed by
+    /// `(observer index, channel, subject)` — the ratchet behind
+    /// [`Predicate::NoResurrectionBelowObituary`].
+    obituary_floor: BTreeMap<(usize, u16, u32), u64>,
+}
+
+type WorldCtx<'c> = Ctx<'c, ChannelMsg, Tick>;
+
+impl World {
+    /// Runs one handler of peer `i` with its effects wired into the
+    /// simulation, then ratchets the peer's obituary floors.
+    fn drive(
+        &mut self,
+        ctx: &mut WorldCtx<'_>,
+        i: usize,
+        act: impl FnOnce(&mut GossipPeer, &mut dyn Effects),
+    ) {
+        let mut fx = PeerFx {
+            ctx,
+            me: PeerId(i as u32),
+            life: self.lives[i],
+            attacker: self.byzantine.get_mut(&i),
+            members: &self.members,
+            delivered: &mut self.delivered[i],
+            installed: &mut self.installed[i],
+        };
+        act(&mut self.peers[i], &mut fx);
+        for chan in self.peers[i].channel_ids() {
+            let Some(engine) = self.peers[i].discovery_on(chan) else {
+                continue;
+            };
+            for (subject, incarnation) in engine.obituary_iter() {
+                let floor = self
+                    .obituary_floor
+                    .entry((i, chan.0, subject.0))
+                    .or_insert(0);
+                *floor = (*floor).max(incarnation);
+            }
+        }
+    }
+
+    /// Drops the resurrection floors of one observer (one channel or
+    /// all): the floor tracks the obituaries of the observer's *current*
+    /// life, and a leave, crash or reboot deliberately loses them.
+    fn clear_floors_of(&mut self, observer: usize, channel: Option<u16>) {
+        self.obituary_floor
+            .retain(|(obs, chan, _), _| *obs != observer || channel.is_some_and(|c| *chan != c));
+    }
+}
+
+/// Lets the behavior attached to `me` act once and puts what it emits on
+/// the wire as-is.
+fn attack(
+    ctx: &mut WorldCtx<'_>,
+    me: PeerId,
+    members: &[Vec<PeerId>],
+    act: impl FnOnce(&mut AttackCtx<'_>) -> Vec<(ChannelId, PeerId, GossipMsg)>,
+) {
+    let now = ctx.now();
+    let out = act(&mut AttackCtx {
+        self_id: me,
+        now,
+        rng: ctx.rng(),
+        members,
+    });
+    for (channel, to, msg) in out {
+        ctx.send(NodeId(me.0), NodeId(to.0), ChannelMsg { channel, msg });
+    }
+}
+
+impl desim::Protocol for World {
+    type Msg = ChannelMsg;
+    type Timer = Tick;
+
+    fn on_message(&mut self, ctx: &mut WorldCtx<'_>, to: NodeId, from: NodeId, msg: ChannelMsg) {
+        let (i, from) = (to.index(), PeerId(from.0));
+        if let Some(behavior) = self.byzantine.get_mut(&i) {
+            attack(ctx, PeerId(to.0), &self.members, |actx| {
+                behavior.on_inbound(actx, msg.channel, from, &msg.msg)
+            });
+        }
+        self.drive(ctx, i, |peer, fx| {
+            peer.on_channel_message(fx, msg.channel, from, msg.msg)
+        });
+    }
+
+    fn on_timer(&mut self, ctx: &mut WorldCtx<'_>, node: NodeId, tick: Tick) {
+        let i = node.index();
+        if tick.life != self.lives[i] {
+            return;
+        }
+        self.drive(ctx, i, |peer, fx| {
+            peer.on_channel_timer(fx, tick.channel, tick.timer)
+        });
+        if let Some(behavior) = self.byzantine.get_mut(&i) {
+            attack(ctx, PeerId(node.0), &self.members, |actx| {
+                behavior.on_step(actx)
+            });
+        }
+    }
+}
+
+/// One peer's [`Effects`]: sends pass through the peer's Byzantine
+/// behavior (if any) onto the simulated wire, timers become [`Tick`]s.
+struct PeerFx<'a, 'c> {
+    ctx: &'a mut WorldCtx<'c>,
+    me: PeerId,
+    life: u64,
+    attacker: Option<&'a mut Box<dyn Byzantine>>,
+    members: &'a [Vec<PeerId>],
+    delivered: &'a mut Vec<BlockRef>,
+    installed: &'a mut Vec<SnapshotRef>,
+}
+
+impl Effects for PeerFx<'_, '_> {
+    fn now(&self) -> Time {
+        self.ctx.now()
+    }
+
+    fn send(&mut self, channel: ChannelId, to: PeerId, msg: GossipMsg) {
+        match self.attacker.as_mut() {
+            Some(behavior) => attack(self.ctx, self.me, self.members, |actx| {
+                behavior.on_outbound(actx, channel, to, msg)
+            }),
+            None => self
+                .ctx
+                .send(NodeId(self.me.0), NodeId(to.0), ChannelMsg { channel, msg }),
+        }
+    }
+
+    fn schedule(&mut self, after: Duration, channel: ChannelId, timer: GossipTimer) {
+        let tick = Tick {
+            channel,
+            timer,
+            life: self.life,
+        };
+        self.ctx.set_timer(NodeId(self.me.0), after, tick);
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        self.ctx.rng()
+    }
+
+    fn deliver(&mut self, _channel: ChannelId, block: BlockRef) {
+        self.delivered.push(block);
+    }
+
+    fn snapshot_installed(&mut self, _channel: ChannelId, snapshot: &SnapshotRef) {
+        self.installed.push(snapshot.clone());
+    }
+}
+
+/// A multi-peer network for discovery-protocol tests and adversarial
+/// scenarios, run on a [`desim::Simulation`] over
+/// [`NetworkConfig::ideal`] — zero latency, no bandwidth limit.
 ///
 /// Unlike the oracle-style lockstep routers used before the discovery
 /// protocol existed, the harness **never** calls
@@ -1375,56 +1516,25 @@ fn pick_two(members: &[PeerId], rng: &mut StdRng) -> Option<(PeerId, PeerId)> {
 /// sitting members: a join is only the joiner's own
 /// [`GossipPeer::join_channel_live`] (whose discovery engine announces
 /// it), and a leave is only the leaver dropping its instance — everyone
-/// else must find out through gossip. The clock is scripted: timers fire
-/// under [`DiscoveryHarness::run_for`] in deterministic `(time, arming)`
-/// order, messages deliver with zero latency, and faults inject through
-/// [`DiscoveryHarness::set_loss`], [`DiscoveryHarness::partition`],
-/// [`DiscoveryHarness::crash`] and [`DiscoveryHarness::set_byzantine`].
-/// See the [module docs](self) for the op DSL and the determinism
-/// contract.
+/// else must find out through gossip. Peer timers are simulation timers,
+/// fired under [`DiscoveryHarness::run_for`] in the engine's `(time, seq)`
+/// order; faults are the engine's own: loss
+/// ([`desim::Simulation::set_loss`]), cut links and partitions
+/// ([`desim::NetState`]) and crashes (a node marked down). Ops apply
+/// between windows and route their traffic to quiescence before
+/// returning. See the [module docs](self) for the op DSL and the
+/// determinism contract.
 #[derive(Debug)]
 pub struct DiscoveryHarness {
-    peers: Vec<GossipPeer>,
-    fxs: Vec<MockEffects>,
-    now: Time,
-    timers: BinaryHeap<Reverse<HarnessTimer>>,
-    timer_seq: u64,
-    /// Ground-truth membership per channel (what the script did), for
-    /// convergence assertions.
-    members: Vec<Vec<PeerId>>,
-    /// Symmetric blocked links (partition injection).
-    blocked: HashSet<(u32, u32)>,
-    /// Independent per-message loss probability.
+    sim: Simulation<World>,
+    /// Independent per-message loss probability currently configured.
     loss: f64,
-    loss_rng: StdRng,
-    /// Count of loss-rate changes so far; reseeds `loss_rng` (see the
-    /// module-level determinism contract).
-    loss_epoch: u64,
-    /// Crashed peers: timers dropped, inbound dropped, out of every
-    /// ground truth.
-    crashed: HashSet<usize>,
-    /// Per-peer timer epoch; a crash bumps it to cancel armed timers.
-    peer_epoch: Vec<u64>,
-    /// Attached Byzantine behaviors, by peer index.
-    byzantine: BTreeMap<usize, Box<dyn Byzantine>>,
-    attack_rng: StdRng,
-    /// Highest obituary incarnation each peer ever recorded, keyed by
-    /// `(observer index, channel, subject)` — the ratchet behind
-    /// [`Predicate::NoResurrectionBelowObituary`].
-    obituary_floor: BTreeMap<(usize, u16, u32), u64>,
-    /// Highest injected block number per channel.
-    heads: Vec<u64>,
-    /// Offered wire bytes per message kind (loss and blocks included:
-    /// the attacker pays for traffic whether or not it lands).
-    wire_bytes: BTreeMap<&'static str, u64>,
-    outbox: VecDeque<(PeerId, ChannelId, PeerId, GossipMsg)>,
 }
 
 impl DiscoveryHarness {
-    /// Base seed of the loss RNG stream.
-    pub const LOSS_SEED: u64 = 77;
-    /// Seed of the attacker-private RNG stream.
-    pub const ATTACK_SEED: u64 = 4242;
+    /// Seed of the simulation: every protocol, attacker and loss draw
+    /// comes from its one [`desim::RngMode::Unified`] stream.
+    pub const SEED: u64 = 4242;
 
     /// Builds and initializes `n` peers; peer `i` starts joined to every
     /// channel whose member list contains it. Every peer's timers are
@@ -1442,55 +1552,68 @@ impl DiscoveryHarness {
                 peer
             })
             .collect();
-        let fxs: Vec<MockEffects> = (0..n as u64).map(|i| MockEffects::new(9_000 + i)).collect();
-        let channels = memberships.len();
-        let mut harness = DiscoveryHarness {
+        let world = World {
             peers,
-            fxs,
-            now: Time::ZERO,
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            lives: vec![0; n],
+            delivered: vec![Vec::new(); n],
+            installed: vec![Vec::new(); n],
+            heads: vec![0; memberships.len()],
             members: memberships,
-            blocked: HashSet::new(),
-            loss: 0.0,
-            loss_rng: StdRng::seed_from_u64(Self::LOSS_SEED),
-            loss_epoch: 0,
-            crashed: HashSet::new(),
-            peer_epoch: vec![0; n],
             byzantine: BTreeMap::new(),
-            attack_rng: StdRng::seed_from_u64(Self::ATTACK_SEED),
             obituary_floor: BTreeMap::new(),
-            heads: vec![0; channels],
-            wire_bytes: BTreeMap::new(),
-            outbox: VecDeque::new(),
         };
-        for i in 0..harness.peers.len() {
-            harness.fxs[i].now = harness.now;
-            harness.peers[i].init(&mut harness.fxs[i]);
-            harness.drain_effects(i);
-        }
-        harness.route();
+        let mut harness = DiscoveryHarness {
+            sim: Simulation::new(world, NetworkConfig::ideal(n), Self::SEED),
+            loss: 0.0,
+        };
+        harness.act(|world, ctx| {
+            for i in 0..n {
+                world.drive(ctx, i, |peer, fx| peer.init(fx));
+            }
+        });
         harness
     }
 
-    /// The scripted clock's current instant.
+    /// Applies `f` at the current instant, then delivers whatever it put
+    /// on the wire (and everything that triggers) before returning.
+    fn act<R>(&mut self, f: impl FnOnce(&mut World, &mut WorldCtx<'_>) -> R) -> R {
+        let out = self.sim.with_ctx(f);
+        self.sim.run_for(Duration::ZERO);
+        out
+    }
+
+    fn world(&self) -> &World {
+        self.sim.protocol()
+    }
+
+    /// The simulation's current instant.
     pub fn now(&self) -> Time {
-        self.now
+        self.sim.now()
+    }
+
+    /// Events the simulation handled so far (deliveries and timers).
+    pub fn events_processed(&self) -> u64 {
+        self.sim.events_processed()
     }
 
     /// The gossip state of peer `i`.
     pub fn gossip(&self, i: usize) -> &GossipPeer {
-        &self.peers[i]
+        &self.world().peers[i]
     }
 
-    /// The recorded effects of peer `i` (deliveries, discovery events...).
-    pub fn effects(&self, i: usize) -> &MockEffects {
-        &self.fxs[i]
+    /// The blocks peer `i` delivered in order, on any channel.
+    pub fn delivered(&self, i: usize) -> &[BlockRef] {
+        &self.world().delivered[i]
+    }
+
+    /// The snapshots peer `i` verified and installed, in order.
+    pub fn installed(&self, i: usize) -> &[SnapshotRef] {
+        &self.world().installed[i]
     }
 
     /// Ground-truth members of channel `c` (what the script enacted).
     pub fn members(&self, c: usize) -> &[PeerId] {
-        &self.members[c]
+        &self.world().members[c]
     }
 
     /// The current per-message loss probability.
@@ -1500,18 +1623,23 @@ impl DiscoveryHarness {
 
     /// Highest injected block number of channel `c`.
     pub fn head(&self, c: usize) -> u64 {
-        self.heads[c]
+        self.world().heads[c]
     }
 
     /// Whether `peer` is crashed.
     pub fn is_crashed(&self, peer: PeerId) -> bool {
-        self.crashed.contains(&peer.index())
+        self.world().lives[peer.index()] % 2 == 1
     }
 
     /// Offered wire bytes of one message kind so far (blocked and lost
     /// messages included — they were put on the wire).
     pub fn wire_bytes_of_kind(&self, kind: &str) -> u64 {
-        self.wire_bytes.get(kind).copied().unwrap_or(0)
+        self.sim.metrics().kind(kind).map_or(0, |k| k.bytes)
+    }
+
+    /// Offered wire bytes of every kind so far.
+    pub fn offered_bytes(&self) -> u64 {
+        self.sim.metrics().network_total_sent()
     }
 
     /// Offered wire bytes of the discovery protocol (heartbeats plus all
@@ -1530,27 +1658,21 @@ impl DiscoveryHarness {
     }
 
     /// Sets the independent per-message loss probability.
-    ///
-    /// Reseeds the loss RNG as a pure function of
-    /// [`DiscoveryHarness::LOSS_SEED`] and the number of loss-rate
-    /// changes so far — see the module-level determinism contract.
     pub fn set_loss(&mut self, loss: f64) {
-        assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
+        self.sim.set_loss(loss);
         self.loss = loss;
-        self.loss_epoch += 1;
-        self.loss_rng = StdRng::seed_from_u64(
-            Self::LOSS_SEED ^ self.loss_epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
     }
 
     /// Blocks (or unblocks) the link between `a` and `b`, both directions.
     pub fn set_link(&mut self, a: PeerId, b: PeerId, up: bool) {
-        let key = (a.0.min(b.0), a.0.max(b.0));
-        if up {
-            self.blocked.remove(&key);
-        } else {
-            self.blocked.insert(key);
-        }
+        let (a, b) = (NodeId(a.0), NodeId(b.0));
+        self.sim.with_ctx(|_, ctx| {
+            if up {
+                ctx.net_mut().set_link_up(a, b);
+            } else {
+                ctx.net_mut().set_link_down(a, b);
+            }
+        });
     }
 
     /// Partitions the network into `groups`: every link between two
@@ -1558,26 +1680,20 @@ impl DiscoveryHarness {
     /// A configured loss rate keeps applying — partition and loss
     /// compose.
     pub fn partition(&mut self, groups: &[Vec<PeerId>]) {
-        self.restore_links();
-        for (gi, ga) in groups.iter().enumerate() {
-            for gb in groups.iter().skip(gi + 1) {
-                for a in ga {
-                    for b in gb {
-                        self.set_link(*a, *b, false);
-                    }
-                }
-            }
-        }
+        let groups: Vec<Vec<NodeId>> = groups
+            .iter()
+            .map(|g| g.iter().map(|p| NodeId(p.0)).collect())
+            .collect();
+        self.sim.with_ctx(|_, ctx| ctx.net_mut().partition(&groups));
     }
 
     /// Restores every blocked link; the loss rate is untouched.
     pub fn restore_links(&mut self) {
-        self.blocked.clear();
+        self.sim.with_ctx(|_, ctx| ctx.net_mut().heal());
     }
 
     /// Full fault recovery: restores every link **and** stops message
-    /// loss (reseeding the loss stream, see
-    /// [`DiscoveryHarness::set_loss`]).
+    /// loss.
     pub fn heal(&mut self) {
         self.restore_links();
         self.set_loss(0.0);
@@ -1587,41 +1703,20 @@ impl DiscoveryHarness {
     /// one). The peer keeps running the honest protocol; the behavior
     /// wraps its wire.
     pub fn set_byzantine(&mut self, peer: PeerId, behavior: Box<dyn Byzantine>) {
-        assert!(peer.index() < self.peers.len(), "no such peer");
-        self.byzantine.insert(peer.index(), behavior);
+        let world = self.sim.protocol_mut();
+        assert!(peer.index() < world.peers.len(), "no such peer");
+        world.byzantine.insert(peer.index(), behavior);
     }
 
     /// Detaches the Byzantine behavior of `peer`, if any.
     pub fn clear_byzantine(&mut self, peer: PeerId) {
-        self.byzantine.remove(&peer.index());
+        self.sim.protocol_mut().byzantine.remove(&peer.index());
     }
 
-    /// Runs the network for `d` of scripted time: fires every timer due in
-    /// the window (in deterministic order), routing all resulting traffic
-    /// with zero latency.
+    /// Runs the network for `d` of simulated time: fires every timer due
+    /// in the window and delivers all resulting traffic.
     pub fn run_for(&mut self, d: Duration) {
-        let deadline = self.now + d;
-        loop {
-            match self.timers.peek() {
-                Some(Reverse(entry)) if entry.at <= deadline => {
-                    let Reverse(entry) = self.timers.pop().expect("peeked");
-                    let i = entry.peer;
-                    if self.crashed.contains(&i) || self.peer_epoch[i] != entry.epoch {
-                        continue;
-                    }
-                    self.now = self.now.max(entry.at);
-                    self.fxs[i].now = self.now;
-                    self.peers[i].on_channel_timer(&mut self.fxs[i], entry.channel, entry.timer);
-                    self.drain_effects(i);
-                    if self.byzantine.contains_key(&i) {
-                        self.byzantine_step(i);
-                    }
-                    self.route();
-                }
-                _ => break,
-            }
-        }
-        self.now = deadline;
+        self.sim.run_for(d);
     }
 
     /// Runtime join, discovery-style: **only the joiner acts** — it joins
@@ -1630,7 +1725,7 @@ impl DiscoveryHarness {
     /// peer rejoining is rebooted first (volatile state lost, stores
     /// kept).
     pub fn join(&mut self, c: usize, peer: PeerId) {
-        let roster = self.members[c].clone();
+        let roster = self.members(c).to_vec();
         self.join_with_roster(c, peer, roster, false);
     }
 
@@ -1650,109 +1745,98 @@ impl DiscoveryHarness {
     }
 
     fn join_with_roster(&mut self, c: usize, peer: PeerId, roster: Vec<PeerId>, anchored: bool) {
-        if self.members[c].contains(&peer) {
-            return;
-        }
         let idx = peer.index();
-        if idx >= self.peers.len() {
+        if self.members(c).contains(&peer) || idx >= self.world().peers.len() {
             return;
         }
-        if self.crashed.remove(&idx) {
-            self.peers[idx].on_crash();
-        }
-        if self.peers[idx].has_channel(ChannelId(c as u16)) {
-            self.peers[idx].leave_channel(ChannelId(c as u16));
-        }
-        // A fresh life starts with empty obituaries (clear_volatile /
-        // a fresh engine), so its resurrection floor restarts too.
-        self.clear_floors_of(idx, Some(c as u16));
-        self.fxs[idx].now = self.now;
-        if anchored {
-            let anchor = roster[0];
-            self.peers[idx].join_channel_anchored(&mut self.fxs[idx], ChannelId(c as u16), anchor);
-        } else {
-            self.peers[idx].join_channel_live(&mut self.fxs[idx], ChannelId(c as u16), roster);
-        }
-        self.drain_effects(idx);
-        self.members[c].push(peer);
-        self.route();
+        let reboot = self.is_crashed(peer);
+        let channel = ChannelId(c as u16);
+        self.act(|world, ctx| {
+            if reboot {
+                world.lives[idx] += 1;
+                ctx.net_mut().set_up(NodeId(peer.0), true);
+                world.peers[idx].on_crash();
+            }
+            if world.peers[idx].has_channel(channel) {
+                world.peers[idx].leave_channel(channel);
+            }
+            // A fresh life starts with empty obituaries (clear_volatile /
+            // a fresh engine), so its resurrection floor restarts too.
+            world.clear_floors_of(idx, Some(channel.0));
+            world.drive(ctx, idx, |p, fx| match anchored {
+                true => p.join_channel_anchored(fx, channel, roster[0]),
+                false => p.join_channel_live(fx, channel, roster),
+            });
+            world.members[c].push(peer);
+        });
     }
 
     /// Publishes `snapshot` as the one `peer` serves on channel `c` (what
     /// the embedding does after its ledger emits a checkpoint). Returns
     /// whether the peer adopted it (see
     /// [`GossipPeer::publish_snapshot_on`]).
-    pub fn publish_snapshot(
-        &mut self,
-        c: usize,
-        peer: PeerId,
-        snapshot: fabric_types::snapshot::SnapshotRef,
-    ) -> bool {
+    pub fn publish_snapshot(&mut self, c: usize, peer: PeerId, snapshot: SnapshotRef) -> bool {
         let idx = peer.index();
-        if idx >= self.peers.len() || self.crashed.contains(&idx) {
+        if idx >= self.world().peers.len() || self.is_crashed(peer) {
             return false;
         }
-        self.peers[idx].publish_snapshot_on(ChannelId(c as u16), snapshot)
+        self.sim.protocol_mut().peers[idx].publish_snapshot_on(ChannelId(c as u16), snapshot)
     }
 
     /// Runtime leave, discovery-style: **only the leaver acts** — it drops
     /// its instance and goes silent; the sitting members must detect the
     /// departure by alive-timeout expiry and spread the obituary.
     pub fn leave(&mut self, c: usize, peer: PeerId) {
-        let Some(pos) = self.members[c].iter().position(|m| *m == peer) else {
+        let world = self.sim.protocol_mut();
+        let Some(pos) = world.members[c].iter().position(|m| *m == peer) else {
             return;
         };
-        self.members[c].remove(pos);
-        self.peers[peer.index()].leave_channel(ChannelId(c as u16));
-        self.clear_floors_of(peer.index(), Some(c as u16));
+        world.members[c].remove(pos);
+        world.peers[peer.index()].leave_channel(ChannelId(c as u16));
+        world.clear_floors_of(peer.index(), Some(c as u16));
     }
 
-    /// Drops the resurrection floors of one observer (one channel or
-    /// all): the floor tracks the obituaries of the observer's *current*
-    /// life, and a leave, crash or reboot deliberately loses them.
-    fn clear_floors_of(&mut self, observer: usize, channel: Option<u16>) {
-        self.obituary_floor
-            .retain(|(obs, chan, _), _| *obs != observer || channel.is_some_and(|c| *chan != c));
-    }
-
-    /// Silent crash: the peer stops cold — armed timers are cancelled,
-    /// inbound messages fall on the floor, and no leave is announced. It
-    /// exits the ground truth of every channel (the network must reap
-    /// it); its instance state is kept so a later [`DiscoveryHarness::join`]
-    /// models a reboot.
+    /// Silent crash: the peer's node goes down — armed timers never fire
+    /// into its current life, inbound messages fall on the floor, and no
+    /// leave is announced. It exits the ground truth of every channel (the
+    /// network must reap it); its instance state is kept so a later
+    /// [`DiscoveryHarness::join`] models a reboot.
     pub fn crash(&mut self, peer: PeerId) {
         let idx = peer.index();
-        if idx >= self.peers.len() || self.crashed.contains(&idx) {
+        if idx >= self.world().peers.len() || self.is_crashed(peer) {
             return;
         }
-        self.crashed.insert(idx);
-        self.peer_epoch[idx] += 1;
-        for members in &mut self.members {
-            members.retain(|m| *m != peer);
-        }
-        self.byzantine.remove(&idx);
-        // The crash loses the volatile obituaries; the rebooted life's
-        // resurrection floor must restart with them.
-        self.clear_floors_of(idx, None);
+        self.sim.with_ctx(|world, ctx| {
+            ctx.net_mut().set_up(NodeId(peer.0), false);
+            world.lives[idx] += 1;
+            for members in &mut world.members {
+                members.retain(|m| *m != peer);
+            }
+            world.byzantine.remove(&idx);
+            // The crash loses the volatile obituaries; the rebooted life's
+            // resurrection floor must restart with them.
+            world.clear_floors_of(idx, None);
+        });
     }
 
-    /// Injects block `num` of channel `c` at its lowest current member (as
+    /// Injects `block` on channel `c` at its lowest current member (as
     /// the ordering service would) and routes to quiescence.
     pub fn inject(&mut self, c: usize, block: BlockRef) {
-        let Some(seed_peer) = self.members[c].iter().min().copied() else {
+        let Some(seed_peer) = self.members(c).iter().min().copied() else {
             return;
         };
-        self.heads[c] = self.heads[c].max(block.number());
-        let idx = seed_peer.index();
-        self.fxs[idx].now = self.now;
-        self.peers[idx].on_block_from_orderer_on(&mut self.fxs[idx], ChannelId(c as u16), block);
-        self.drain_effects(idx);
-        self.route();
+        self.act(|world, ctx| {
+            world.heads[c] = world.heads[c].max(block.number());
+            world.drive(ctx, seed_peer.index(), |p, fx| {
+                p.on_block_from_orderer_on(fx, ChannelId(c as u16), block)
+            });
+        });
     }
 
     /// Peer `m`'s organization view of channel `c`, in id order.
     pub fn view_of(&self, m: PeerId, c: usize) -> Vec<PeerId> {
-        let mut view = self.peers[m.index()]
+        let mut view = self
+            .gossip(m.index())
             .membership_on(ChannelId(c as u16))
             .map(|mem| mem.peers().to_vec())
             .unwrap_or_default();
@@ -1770,11 +1854,11 @@ impl DiscoveryHarness {
     /// Members of channel `c` whose view does **not** match the ground
     /// truth, with their views — for assertion messages.
     pub fn divergent_views(&self, c: usize) -> Vec<(PeerId, Vec<PeerId>)> {
-        self.members[c]
+        self.members(c)
             .iter()
             .filter_map(|m| {
                 let mut expected: Vec<PeerId> =
-                    self.members[c].iter().copied().filter(|p| p != m).collect();
+                    self.members(c).iter().copied().filter(|p| p != m).collect();
                 expected.sort_unstable();
                 let got = self.view_of(*m, c);
                 (got != expected).then_some((*m, got))
@@ -1795,10 +1879,10 @@ impl DiscoveryHarness {
 
     /// Current leaders of channel `c` among its current members.
     pub fn leaders(&self, c: usize) -> Vec<PeerId> {
-        self.members[c]
+        self.members(c)
             .iter()
             .copied()
-            .filter(|m| self.peers[m.index()].is_leader_on(ChannelId(c as u16)))
+            .filter(|m| self.gossip(m.index()).is_leader_on(ChannelId(c as u16)))
             .collect()
     }
 
@@ -1806,8 +1890,18 @@ impl DiscoveryHarness {
     /// converge, up to `limit_secs`. Returns the seconds it took, or
     /// `None` if the bound was exceeded.
     pub fn converge_within(&mut self, c: usize, limit_secs: u64) -> Option<u64> {
+        self.secs_until(limit_secs, |net| net.views_converged(c))
+    }
+
+    /// Polls `done` once per simulated second (running time in between)
+    /// and returns the first second at which it held, up to `limit_secs`.
+    pub fn secs_until(
+        &mut self,
+        limit_secs: u64,
+        mut done: impl FnMut(&mut Self) -> bool,
+    ) -> Option<u64> {
         for elapsed in 0..=limit_secs {
-            if self.views_converged(c) {
+            if done(self) {
                 return Some(elapsed);
             }
             if elapsed < limit_secs {
@@ -1852,7 +1946,7 @@ impl DiscoveryHarness {
     }
 
     /// Checks one invariant predicate against the current state
-    /// ([`Predicate::ConvergenceWithin`] advances scripted time).
+    /// ([`Predicate::ConvergenceWithin`] advances simulated time).
     pub fn check(&mut self, pred: &Predicate) -> Result<(), String> {
         match pred {
             Predicate::ViewAgreement { channel } => {
@@ -1862,12 +1956,12 @@ impl DiscoveryHarness {
                 } else {
                     Err(format!(
                         "views diverged from members {:?}: {divergent:?}",
-                        self.members[*channel]
+                        self.members(*channel)
                     ))
                 }
             }
             Predicate::ExactlyOneLeader { channel } => {
-                if self.members[*channel].is_empty() {
+                if self.members(*channel).is_empty() {
                     return Ok(());
                 }
                 let leaders = self.leaders(*channel);
@@ -1876,18 +1970,18 @@ impl DiscoveryHarness {
                 } else {
                     Err(format!(
                         "want exactly one leader among {:?}, got {leaders:?}",
-                        self.members[*channel]
+                        self.members(*channel)
                     ))
                 }
             }
             Predicate::NoResurrectionBelowObituary { channel } => {
                 let chan = ChannelId(*channel as u16);
-                for i in 0..self.peers.len() {
-                    let Some(engine) = self.peers[i].discovery_on(chan) else {
+                for i in 0..self.world().peers.len() {
+                    let Some(engine) = self.gossip(i).discovery_on(chan) else {
                         continue;
                     };
                     for claim in engine.claims() {
-                        let floor = self.obituary_floor.get(&(i, chan.0, claim.peer.0));
+                        let floor = self.world().obituary_floor.get(&(i, chan.0, claim.peer.0));
                         if let Some(&floor) = floor {
                             if claim.incarnation <= floor {
                                 return Err(format!(
@@ -1902,10 +1996,10 @@ impl DiscoveryHarness {
                 Ok(())
             }
             Predicate::GapFreeCatchup { channel } => {
-                let head = self.heads[*channel];
+                let head = self.head(*channel);
                 let chan = ChannelId(*channel as u16);
-                for m in &self.members[*channel] {
-                    let Some(store) = self.peers[m.index()].store_on(chan) else {
+                for m in self.members(*channel) {
+                    let Some(store) = self.gossip(m.index()).store_on(chan) else {
                         return Err(format!("member {m:?} has no store on channel {channel}"));
                     };
                     for num in 1..=head {
@@ -1925,124 +2019,6 @@ impl DiscoveryHarness {
                         "still divergent after {secs}s: {:?}",
                         self.divergent_views(*channel)
                     )),
-                }
-            }
-        }
-    }
-
-    /// Moves peer `i`'s recorded sends and timers into the harness
-    /// queues; a Byzantine peer's sends pass through its behavior first.
-    fn drain_effects(&mut self, i: usize) {
-        for (after, channel, timer) in self.fxs[i].take_scheduled_on() {
-            self.timer_seq += 1;
-            self.timers.push(Reverse(HarnessTimer {
-                at: self.fxs[i].now + after,
-                seq: self.timer_seq,
-                peer: i,
-                epoch: self.peer_epoch[i],
-                channel,
-                timer,
-            }));
-        }
-        let sent = self.fxs[i].take_sent_on();
-        if let Some(mut behavior) = self.byzantine.remove(&i) {
-            let mut out = Vec::new();
-            {
-                let mut ctx = AttackCtx {
-                    self_id: PeerId(i as u32),
-                    now: self.now,
-                    rng: &mut self.attack_rng,
-                    members: &self.members,
-                };
-                for (channel, to, msg) in sent {
-                    out.extend(behavior.on_outbound(&mut ctx, channel, to, msg));
-                }
-            }
-            for (channel, to, msg) in out {
-                self.outbox.push_back((PeerId(i as u32), channel, to, msg));
-            }
-            self.byzantine.insert(i, behavior);
-        } else {
-            for (channel, to, msg) in sent {
-                self.outbox.push_back((PeerId(i as u32), channel, to, msg));
-            }
-        }
-    }
-
-    /// One injection opportunity for the behavior attached to peer `i`.
-    fn byzantine_step(&mut self, i: usize) {
-        let Some(mut behavior) = self.byzantine.remove(&i) else {
-            return;
-        };
-        let out = {
-            let mut ctx = AttackCtx {
-                self_id: PeerId(i as u32),
-                now: self.now,
-                rng: &mut self.attack_rng,
-                members: &self.members,
-            };
-            behavior.on_step(&mut ctx)
-        };
-        for (channel, to, msg) in out {
-            self.outbox.push_back((PeerId(i as u32), channel, to, msg));
-        }
-        self.byzantine.insert(i, behavior);
-    }
-
-    /// Delivers queued messages (and whatever they trigger) until quiet,
-    /// applying loss, blocked links and crashes, wiretapping deliveries
-    /// to Byzantine peers, and accounting offered wire bytes.
-    fn route(&mut self) {
-        while let Some((from, channel, to, msg)) = self.outbox.pop_front() {
-            *self.wire_bytes.entry(msg.kind()).or_insert(0) += msg.wire_size() as u64;
-            let key = (from.0.min(to.0), from.0.max(to.0));
-            if self.blocked.contains(&key) {
-                continue;
-            }
-            if self.loss > 0.0 && self.loss_rng.random_bool(self.loss) {
-                continue;
-            }
-            let i = to.index();
-            if i >= self.peers.len() || self.crashed.contains(&i) {
-                continue;
-            }
-            if self.byzantine.contains_key(&i) {
-                let mut behavior = self.byzantine.remove(&i).expect("checked");
-                let out = {
-                    let mut ctx = AttackCtx {
-                        self_id: to,
-                        now: self.now,
-                        rng: &mut self.attack_rng,
-                        members: &self.members,
-                    };
-                    behavior.on_inbound(&mut ctx, channel, from, &msg)
-                };
-                for (c, t, m) in out {
-                    self.outbox.push_back((to, c, t, m));
-                }
-                self.byzantine.insert(i, behavior);
-            }
-            self.fxs[i].now = self.now;
-            self.peers[i].on_channel_message(&mut self.fxs[i], channel, from, msg);
-            self.drain_effects(i);
-        }
-        self.record_obituary_floors();
-    }
-
-    /// Ratchets the per-observer obituary floors from every engine's
-    /// current dead set.
-    fn record_obituary_floors(&mut self) {
-        for i in 0..self.peers.len() {
-            for chan in self.peers[i].channel_ids() {
-                let Some(engine) = self.peers[i].discovery_on(chan) else {
-                    continue;
-                };
-                for (subject, incarnation) in engine.obituary_iter() {
-                    let entry = self
-                        .obituary_floor
-                        .entry((i, chan.0, subject.0))
-                        .or_insert(0);
-                    *entry = (*entry).max(incarnation);
                 }
             }
         }
@@ -2106,27 +2082,6 @@ mod tests {
             (views, net.leaders(0), net.discovery_wire_bytes())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn loss_stream_reseeds_per_change_not_per_history() {
-        // Two harnesses consume visibly different amounts of loss
-        // randomness, then both make their second loss change: the
-        // streams after it are the same pure function of (seed, epoch).
-        let members: Vec<PeerId> = (0..4).map(PeerId).collect();
-        let mut a = DiscoveryHarness::new(4, vec![members.clone()], &cfg());
-        let mut b = DiscoveryHarness::new(4, vec![members], &cfg());
-        a.set_loss(0.5);
-        b.set_loss(0.5);
-        a.run_for(Duration::from_secs(2)); // a consumes loss draws...
-        b.run_for(Duration::from_secs(9)); // ...b consumes many more
-        a.set_loss(0.0);
-        b.set_loss(0.0);
-        // Epoch counts now agree, so both rebuilt the same stream state;
-        // nothing observable may depend on the divergent draw history.
-        a.heal();
-        b.heal();
-        assert_eq!(a.loss(), b.loss());
     }
 
     #[test]

@@ -6,12 +6,8 @@
 //! timers are stored once, channel-tagged; the historical channel-less
 //! accessors ([`MockEffects::take_sent`], [`MockEffects::take_scheduled`],
 //! [`MockEffects::sent_of_kind`]) project the tag away so single-channel
-//! tests read exactly as before.
-//!
-//! The scripted multi-peer network that used to live here grew into the
-//! adversarial scenario engine and moved to [`crate::scenario`];
-//! [`DiscoveryHarness`] is re-exported so existing test imports keep
-//! working.
+//! tests read exactly as before. Multi-peer networks run on the
+//! simulator instead, through [`crate::scenario::DiscoveryHarness`].
 
 use desim::{Duration, Time};
 use rand::rngs::StdRng;
@@ -22,8 +18,6 @@ use fabric_types::ids::{ChannelId, PeerId};
 
 use crate::effects::Effects;
 use crate::messages::{GossipMsg, GossipTimer};
-
-pub use crate::scenario::DiscoveryHarness;
 
 /// A recording [`Effects`] for tests.
 #[derive(Debug)]

@@ -17,7 +17,8 @@ use desim::Duration;
 use fabric_gossip::config::GossipConfig;
 use fabric_gossip::messages::{GossipMsg, PeerAlive};
 use fabric_gossip::peer::GossipPeer;
-use fabric_gossip::testing::{DiscoveryHarness, MockEffects};
+use fabric_gossip::scenario::DiscoveryHarness;
+use fabric_gossip::testing::MockEffects;
 use fabric_types::ids::{ChannelId, PeerId};
 use proptest::prelude::*;
 

@@ -17,7 +17,7 @@
 //! `discovery_ported` module at the bottom re-runs the same lifecycle
 //! properties with the oracle removed — membership travels only through
 //! the gossiped discovery protocol, driven by
-//! [`fabric_gossip::testing::DiscoveryHarness`].
+//! [`fabric_gossip::scenario::DiscoveryHarness`].
 
 use desim::Time;
 use fabric_gossip::config::GossipConfig;
@@ -384,9 +384,9 @@ fn low_id_late_joiner_neither_deadlocks_nor_usurps_the_succession() {
 mod discovery_ported {
     use super::*;
     use desim::Duration;
-    use fabric_gossip::testing::DiscoveryHarness;
+    use fabric_gossip::scenario::DiscoveryHarness;
 
-    /// Protocol discovery with timers tightened for scripted-clock tests,
+    /// Protocol discovery with timers tightened for short simulated runs,
     /// and recovery tightened so ledger catch-up completes within a short
     /// settle window.
     fn cfg() -> GossipConfig {

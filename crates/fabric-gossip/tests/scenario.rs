@@ -64,24 +64,6 @@ fn env_seed() -> u64 {
         .unwrap_or(0)
 }
 
-/// Polls `done` once per scripted second (running time in between) and
-/// returns the first second at which it held, up to `limit`.
-fn secs_until(
-    net: &mut DiscoveryHarness,
-    limit: u64,
-    mut done: impl FnMut(&DiscoveryHarness) -> bool,
-) -> Option<u64> {
-    for elapsed in 0..=limit {
-        if done(net) {
-            return Some(elapsed);
-        }
-        if elapsed < limit {
-            net.run_for(Duration::from_secs(1));
-        }
-    }
-    None
-}
-
 // ---------------------------------------------------------------------
 // DSL ports of the hand-written discovery tests: the scenario engine
 // subsumes the old harness style.
@@ -376,11 +358,12 @@ fn one_honest_seed_defeats_the_eclipse_in_measured_time() {
     // One honest bootstrap contact is the whole difference.
     net.join_via(0, victim, &[attacker, PeerId(0)]);
     let honest: Vec<PeerId> = members.iter().copied().filter(|p| *p != attacker).collect();
-    let escape_secs = secs_until(&mut net, 60, |net| {
-        let view = net.view_of(victim, 0);
-        honest.iter().any(|h| view.contains(h))
-    })
-    .expect("an honest seed must break the eclipse");
+    let escape_secs = net
+        .secs_until(60, |net| {
+            let view = net.view_of(victim, 0);
+            honest.iter().any(|h| view.contains(h))
+        })
+        .expect("an honest seed must break the eclipse");
     assert!(
         escape_secs <= 30,
         "escape took {escape_secs}s — the refutation path is too slow"
@@ -583,10 +566,9 @@ fn a_withholder_stalls_but_cannot_stop_block_catch_up() {
         ])
         .expect("sitting members complete through honest redundancy");
         net.join(0, PeerId(4));
-        let secs = secs_until(&mut net, 60, |net| {
-            net.gossip(4).height_on(ChannelId(0)) > 5
-        })
-        .expect("withholding must not stop the joiner's catch-up");
+        let secs = net
+            .secs_until(60, |net| net.gossip(4).height_on(ChannelId(0)) > 5)
+            .expect("withholding must not stop the joiner's catch-up");
         net.run_script(&[ScenarioOp::Assert(Predicate::GapFreeCatchup { channel: 0 })])
             .expect("completeness reaches 1.0 despite the withholder");
         secs
@@ -649,7 +631,7 @@ fn an_equivocators_conflicting_payloads_are_hash_rejected_and_completeness_holds
             }
         }
         assert!(
-            net.effects(i).delivered.iter().all(|b| b.data_intact()),
+            net.delivered(i).iter().all(|b| b.data_intact()),
             "peer {i} delivered a tampered payload"
         );
     }
@@ -703,11 +685,12 @@ fn one_honest_anchor_defeats_the_eclipse() {
     net.set_byzantine(attacker, Box::new(Eclipser::new(victim)));
     net.join_anchored(0, victim, PeerId(0));
     let honest: Vec<PeerId> = members.iter().copied().filter(|p| *p != attacker).collect();
-    let escape_secs = secs_until(&mut net, 60, |net| {
-        let view = net.view_of(victim, 0);
-        honest.iter().all(|h| view.contains(h))
-    })
-    .expect("one honest anchor must widen to the full honest membership");
+    let escape_secs = net
+        .secs_until(60, |net| {
+            let view = net.view_of(victim, 0);
+            honest.iter().all(|h| view.contains(h))
+        })
+        .expect("one honest anchor must widen to the full honest membership");
     assert!(
         escape_secs <= 30,
         "anchored bootstrap took {escape_secs}s to learn the honest world"
@@ -827,15 +810,14 @@ proptest! {
 
         // The joiner enters under residual loss and catches up.
         net.join(0, joiner);
-        let caught = secs_until(&mut net, 120, |net| {
+        let caught = net.secs_until(120, |net| {
             net.gossip(joiner.index()).height_on(ChannelId(0)) > height
         });
         prop_assert!(caught.is_some(), "catch-up stalled under residual loss");
 
         // It bootstrapped from a snapshot, not genesis replay...
-        let fx = net.effects(joiner.index());
-        let (_, installed) = fx
-            .installed
+        let installed = net
+            .installed(joiner.index())
             .last()
             .expect("the lagging joiner must have installed a snapshot");
         let floor = installed.checkpoint.height;
@@ -849,8 +831,8 @@ proptest! {
             Some(every),
         )
         .expect("a published snapshot verifies");
-        let mut tail: Vec<BlockRef> = fx
-            .delivered
+        let mut tail: Vec<BlockRef> = net
+            .delivered(joiner.index())
             .iter()
             .filter(|b| b.number() > floor)
             .cloned()
@@ -868,7 +850,7 @@ proptest! {
             "loss/partitions must not break snapshot equivalence"
         );
         prop_assert!(
-            fx.delivered.iter().all(|b| b.number() > floor),
+            net.delivered(joiner.index()).iter().all(|b| b.number() > floor),
             "the absorbed prefix must never have been delivered"
         );
     }
@@ -929,7 +911,7 @@ fn chunked_transfer_resumes_under_loss_and_a_mid_transfer_partition() {
     net.run_script(&[ScenarioOp::Heal, ScenarioOp::SetLoss { loss_milli: 100 }])
         .expect("no asserts");
 
-    let caught = secs_until(&mut net, 120, |net| {
+    let caught = net.secs_until(120, |net| {
         net.gossip(joiner.index()).height_on(ChannelId(0)) > height
     });
     assert!(
@@ -965,12 +947,16 @@ fn chunked_transfer_resumes_under_loss_and_a_mid_transfer_partition() {
 
     // The install is the verified one: floor at a published boundary and
     // nothing below it was ever delivered as a block.
-    let fx = net.effects(joiner.index());
-    let (_, installed) = fx.installed.last().expect("one installed snapshot");
+    let installed = net
+        .installed(joiner.index())
+        .last()
+        .expect("one installed snapshot");
     let floor = installed.checkpoint.height;
     assert!(floor >= 4, "installed snapshot below the first boundary");
     assert!(
-        fx.delivered.iter().all(|b| b.number() > floor),
+        net.delivered(joiner.index())
+            .iter()
+            .all(|b| b.number() > floor),
         "the absorbed prefix must never have been delivered"
     );
 }
@@ -1026,7 +1012,7 @@ fn a_poisoned_bootstrap_is_rejected_and_the_joiner_resumes_to_an_honest_server()
         net.clear_byzantine(*m);
     }
 
-    let caught = secs_until(&mut net, 120, |net| {
+    let caught = net.secs_until(120, |net| {
         net.gossip(joiner.index()).height_on(ChannelId(0)) > height
     });
     assert!(caught.is_some(), "catch-up stalled on poisoned servers");
@@ -1051,8 +1037,10 @@ fn a_poisoned_bootstrap_is_rejected_and_the_joiner_resumes_to_an_honest_server()
 
     // The installed snapshot is the honest one: reconstructing from it
     // plus the delivered tail is byte-identical to genesis replay.
-    let fx = net.effects(joiner.index());
-    let (_, installed) = fx.installed.last().expect("one installed snapshot");
+    let installed = net
+        .installed(joiner.index())
+        .last()
+        .expect("one installed snapshot");
     let floor = installed.checkpoint.height;
     assert!(floor >= 4, "installed snapshot below the first boundary");
     let mut bootstrapped = Ledger::from_snapshot(
@@ -1062,8 +1050,8 @@ fn a_poisoned_bootstrap_is_rejected_and_the_joiner_resumes_to_an_honest_server()
         Some(4),
     )
     .expect("the honest snapshot verifies");
-    let mut tail: Vec<BlockRef> = fx
-        .delivered
+    let mut tail: Vec<BlockRef> = net
+        .delivered(joiner.index())
         .iter()
         .filter(|b| b.number() > floor)
         .cloned()
@@ -1189,4 +1177,31 @@ proptest! {
         let res = run_random_coalition(seed, mask, &discovery_cfg());
         prop_assert!(res.is_ok(), "coalition mask {mask:03b}: {}", res.unwrap_err());
     }
+}
+
+/// The scenario engine's golden trace: exact numbers from one fixed
+/// seeded-random script (seed 12345, default shape over five of eight
+/// peers) with an obituary forger on peer 0, protected from leaving or
+/// crashing. `run() == run()` only shows a replay agrees with itself;
+/// this pin shows it agrees with every earlier run.
+///
+/// If this test fails after an intentional protocol or engine change,
+/// re-derive the constants from the new run and update them **in the same
+/// commit** as the change — scenario traffic must never shift silently.
+#[test]
+fn scenario_golden_trace_pins_events_and_offered_bytes() {
+    let initial: Vec<PeerId> = (0..5).map(PeerId).collect();
+    let shape = ScenarioShape {
+        protected: vec![PeerId(0)],
+        ..ScenarioShape::default()
+    };
+    let script = random_scenario(12345, &initial, &shape);
+    let mut net = DiscoveryHarness::new(8, vec![initial], &discovery_cfg());
+    net.set_byzantine(PeerId(0), Box::new(ObituaryForger::new(PeerId(2), 5)));
+    net.run_script(&script).expect("invariants hold");
+    assert_eq!(
+        (net.events_processed(), net.offered_bytes()),
+        (827, 87_016),
+        "scenario event count or offered bytes shifted"
+    );
 }
